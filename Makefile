@@ -25,10 +25,13 @@ fuzz:
 vet:
 	$(GO) vet ./...
 
-# lint = go vet + the project analyzer suite (notime, norand, maporder,
-# units, ctxloop, hotalloc, errflow, wirecanon), plus
-# staticcheck/govulncheck when available.
+# lint = go vet + a gofmt check (any file it lists fails the target) +
+# the project analyzer suite (notime, norand, maporder, units, ctxloop,
+# hotalloc, errflow, wirecanon), plus staticcheck/govulncheck when
+# available. The gofmt walk skips .bench_build, perfbench's build tree.
 lint: vet
+	@out=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/etrain-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -40,13 +40,12 @@ func (*Immediate) Schedule(ctx *sched.SlotContext) []workload.Packet {
 // DrainAll removes and returns every queued packet, ordered by arrival time
 // across apps.
 func DrainAll(q *sched.Queues) []workload.Packet {
+	if q.Len() == 0 {
+		return nil
+	}
 	var out []workload.Packet
 	for {
-		oldest, ok := q.Oldest()
-		if !ok {
-			return out
-		}
-		p, ok := q.PopByID(oldest.App, oldest.ID)
+		p, ok := q.PopOldest()
 		if !ok {
 			return out
 		}

@@ -121,12 +121,12 @@ func (p *PerES) Schedule(ctx *sched.SlotContext) []workload.Packet {
 	// Deadline-awareness: anything violating its deadline by the next slot
 	// is transmitted unconditionally.
 	var selected []workload.Packet
-	for _, app := range q.Apps() {
-		for _, pkt := range q.Packets(app) {
-			if pkt.DeadlineViolated(ctx.Now + ctx.SlotLength) {
-				if popped, ok := q.PopByID(app, pkt.ID); ok {
-					selected = append(selected, popped)
-				}
+	for i := 0; i < q.NumApps(); i++ {
+		for j := 0; j < len(q.AppView(i)); {
+			if q.AppView(i)[j].DeadlineViolated(ctx.Now + ctx.SlotLength) {
+				selected = append(selected, q.RemoveAt(i, j))
+			} else {
+				j++
 			}
 		}
 	}

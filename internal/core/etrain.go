@@ -168,11 +168,7 @@ func (e *ETrain) Schedule(ctx *sched.SlotContext) []workload.Packet {
 func fifoSelect(q *sched.Queues, limit int) []workload.Packet {
 	var selected []workload.Packet
 	for len(selected) < limit {
-		oldest, ok := q.Oldest()
-		if !ok {
-			break
-		}
-		p, ok := q.PopByID(oldest.App, oldest.ID)
+		p, ok := q.PopOldest()
 		if !ok {
 			break
 		}
@@ -187,73 +183,75 @@ func cheapestSelect(q *sched.Queues, nextSlot time.Duration, limit int) []worklo
 	var selected []workload.Packet
 	for len(selected) < limit && q.Len() > 0 {
 		bestPhi := math.Inf(1)
-		bestApp := ""
-		bestID := 0
-		for _, app := range q.AppsView() {
-			for _, p := range q.View(app) {
+		bestI, bestJ := -1, -1
+		for i := 0; i < q.NumApps(); i++ {
+			for j, p := range q.AppView(i) {
 				if phi := p.Cost(nextSlot); phi < bestPhi {
 					bestPhi = phi
-					bestApp = app
-					bestID = p.ID
+					bestI, bestJ = i, j
 				}
 			}
 		}
-		if bestApp == "" {
+		if bestI < 0 {
 			break
 		}
-		p, ok := q.PopByID(bestApp, bestID)
-		if !ok {
-			break
-		}
-		selected = append(selected, p)
+		selected = append(selected, q.RemoveAt(bestI, bestJ))
 	}
 	return selected
 }
+
+// smallApps is the app count up to which greedySelect keeps its per-app
+// sums on the stack; devices carry one to four cargo apps.
+const smallApps = 8
 
 // greedySelect runs the subgradient heuristic of Eq. 9: up to limit
 // iterations, each removing from the queues the packet with the largest
 // marginal drift gain. nextSlot is t+1, the instant at which speculative
 // costs φ_u(t) are evaluated.
 func greedySelect(q *sched.Queues, nextSlot time.Duration, limit int) []workload.Packet {
-	apps := q.AppsView()
+	n := q.NumApps()
 
-	// P̄_i(t): speculative cost of the full queue, fixed for the slot.
-	pbar := make(map[string]float64, len(apps))
-	for _, app := range apps {
-		pbar[app] = q.SpeculativeAppCostAt(app, nextSlot)
+	// Per-app sums indexed by registration position: P̄_i(t), the
+	// speculative cost of the full queue fixed for the slot, and
+	// Σ_{q ∈ Q*_i} φ_q(t), the speculative cost already claimed.
+	var buf [2 * smallApps]float64
+	var pbar, claimed []float64
+	if n <= smallApps {
+		pbar, claimed = buf[:n], buf[smallApps:smallApps+n]
+	} else {
+		pbar, claimed = make([]float64, n), make([]float64, n)
 	}
-	// Σ_{q ∈ Q*_i} φ_q(t): speculative cost already claimed per app.
-	claimed := make(map[string]float64, len(apps))
+	for i := range pbar {
+		total := 0.0
+		for _, p := range q.AppView(i) {
+			total += p.Cost(nextSlot)
+		}
+		pbar[i] = total
+	}
 
 	var selected []workload.Packet
 	for len(selected) < limit && q.Len() > 0 {
 		bestGain := math.Inf(-1)
-		bestApp := ""
-		bestID := 0
+		bestI, bestJ := -1, -1
 		bestPhi := 0.0
-		for _, app := range apps {
-			// View is allocation-free; the queue is not mutated until the
-			// scan over every app completes below.
-			for _, p := range q.View(app) {
+		for i := range pbar {
+			// AppView is allocation-free; the queue is not mutated until
+			// the scan over every app completes below.
+			for j, p := range q.AppView(i) {
 				phi := p.Cost(nextSlot)
-				gain := (pbar[app]-claimed[app])*phi - phi*phi/2
+				gain := (pbar[i]-claimed[i])*phi - phi*phi/2
 				if gain > bestGain {
 					bestGain = gain
-					bestApp = app
-					bestID = p.ID
+					bestI, bestJ = i, j
 					bestPhi = phi
 				}
 			}
 		}
-		if bestApp == "" {
+		if bestI < 0 {
 			break
 		}
-		p, ok := q.PopByID(bestApp, bestID)
-		if !ok {
-			break
-		}
-		claimed[bestApp] += bestPhi
-		selected = append(selected, p)
+		claimed[bestI] += bestPhi
+		selected = append(selected, q.RemoveAt(bestI, bestJ))
 	}
 	return selected
 }

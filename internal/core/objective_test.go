@@ -32,7 +32,7 @@ func bruteForceBest(q *sched.Queues, nextSlot time.Duration, limit int) float64 
 	q.Each(func(p workload.Packet) { all = append(all, p) })
 	pbar := make(map[string]float64)
 	for _, app := range q.Apps() {
-		pbar[app] = q.SpeculativeAppCostAt(app, nextSlot)
+		pbar[app] = q.AppCostAt(app, nextSlot)
 	}
 	best := 0.0
 	n := len(all)
@@ -88,7 +88,7 @@ func TestGreedyNearOptimalDrift(t *testing.T) {
 
 		pbar := make(map[string]float64)
 		for _, app := range q.Apps() {
-			pbar[app] = q.SpeculativeAppCostAt(app, nextSlot)
+			pbar[app] = q.AppCostAt(app, nextSlot)
 		}
 		optimum := bruteForceBest(q, nextSlot, limit)
 
@@ -131,7 +131,7 @@ func TestGreedyMatchesBruteForceSingleSelection(t *testing.T) {
 			q.Add(p)
 			qCopy.Add(p)
 		}
-		pbar := map[string]float64{"weibo": q.SpeculativeAppCostAt("weibo", nextSlot)}
+		pbar := map[string]float64{"weibo": q.AppCostAt("weibo", nextSlot)}
 		optimum := bruteForceBest(q, nextSlot, 1)
 		selected := greedySelect(qCopy, nextSlot, 1)
 		got := driftObjective(pbar, selected, nextSlot)

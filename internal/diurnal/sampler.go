@@ -1,7 +1,8 @@
 package diurnal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"etrain/internal/heartbeat"
@@ -222,6 +223,6 @@ func (s *Sampler) Merge(apps []heartbeat.TrainApp, horizon time.Duration) []hear
 		all = append(all, s.Schedule(a, horizon)...)
 	}
 	// Mirror heartbeat.Merge's stable sort so equal instants keep app order.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
+	slices.SortStableFunc(all, func(a, b heartbeat.Beat) int { return cmp.Compare(a.At, b.At) })
 	return all
 }

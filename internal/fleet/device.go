@@ -1,8 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"etrain/internal/bandwidth"
@@ -228,7 +229,7 @@ func mergePackets(session, background []workload.Packet) []workload.Packet {
 	all := make([]workload.Packet, 0, len(session)+len(background))
 	all = append(all, session...)
 	all = append(all, background...)
-	sort.SliceStable(all, func(i, j int) bool { return all[i].ArrivedAt < all[j].ArrivedAt })
+	slices.SortStableFunc(all, func(a, b workload.Packet) int { return cmp.Compare(a.ArrivedAt, b.ArrivedAt) })
 	for i := range all {
 		all[i].ID = i
 	}

@@ -12,8 +12,9 @@
 package heartbeat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -108,7 +109,7 @@ func Merge(apps []TrainApp, horizon time.Duration) []Beat {
 	for _, a := range apps {
 		all = append(all, a.Schedule(horizon)...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
+	slices.SortStableFunc(all, func(a, b Beat) int { return cmp.Compare(a.At, b.At) })
 	return all
 }
 

@@ -1,7 +1,8 @@
 package heartbeat
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"etrain/internal/randx"
@@ -39,6 +40,6 @@ func MergeJittered(src *randx.Source, apps []TrainApp, horizon, jitter time.Dura
 	for _, a := range apps {
 		all = append(all, a.ScheduleJittered(src.Split(), horizon, jitter)...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
+	slices.SortStableFunc(all, func(a, b Beat) int { return cmp.Compare(a.At, b.At) })
 	return all
 }

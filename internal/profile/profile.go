@@ -54,11 +54,15 @@ type Profile interface {
 	Name() string
 }
 
-// funcProfile implements Profile with an explicit cost function.
+// funcProfile implements Profile. The paper's families are evaluated by
+// a switch on kind; only Custom profiles call through cost. deadlineS
+// caches deadline.Seconds() for the per-slot cost evaluations.
 type funcProfile struct {
-	name     string
-	deadline time.Duration
-	cost     func(dNorm float64) float64
+	name      string
+	kind      Kind // zero for Custom
+	deadline  time.Duration
+	deadlineS float64
+	cost      func(dNorm float64) float64
 }
 
 var _ Profile = (*funcProfile)(nil)
@@ -70,53 +74,43 @@ func (p *funcProfile) Cost(d time.Duration) float64 {
 	if d <= 0 || p.deadline <= 0 {
 		return 0
 	}
-	return p.cost(d.Seconds() / p.deadline.Seconds())
+	x := d.Seconds() / p.deadlineS
+	switch p.kind {
+	case KindMail:
+		if x <= 1 {
+			return 0
+		}
+		return x - 1
+	case KindWeibo:
+		if x <= 1 {
+			return x
+		}
+		return 2
+	case KindCloud:
+		if x <= 1 {
+			return x
+		}
+		return 3*x - 2
+	default:
+		return p.cost(x)
+	}
+}
+
+func family(kind Kind, name string, deadline time.Duration) Profile {
+	return &funcProfile{name: name, kind: kind, deadline: deadline, deadlineS: deadline.Seconds()}
 }
 
 // Mail returns the f1 profile: zero cost before the deadline, then
 // d/deadline − 1.
-func Mail(deadline time.Duration) Profile {
-	return &funcProfile{
-		name:     "mail/f1",
-		deadline: deadline,
-		cost: func(x float64) float64 {
-			if x <= 1 {
-				return 0
-			}
-			return x - 1
-		},
-	}
-}
+func Mail(deadline time.Duration) Profile { return family(KindMail, "mail/f1", deadline) }
 
 // Weibo returns the f2 profile: d/deadline before the deadline, then the
 // constant 2.
-func Weibo(deadline time.Duration) Profile {
-	return &funcProfile{
-		name:     "weibo/f2",
-		deadline: deadline,
-		cost: func(x float64) float64 {
-			if x <= 1 {
-				return x
-			}
-			return 2
-		},
-	}
-}
+func Weibo(deadline time.Duration) Profile { return family(KindWeibo, "weibo/f2", deadline) }
 
 // Cloud returns the f3 profile: d/deadline before the deadline, then
 // 3·d/deadline − 2.
-func Cloud(deadline time.Duration) Profile {
-	return &funcProfile{
-		name:     "cloud/f3",
-		deadline: deadline,
-		cost: func(x float64) float64 {
-			if x <= 1 {
-				return x
-			}
-			return 3*x - 2
-		},
-	}
-}
+func Cloud(deadline time.Duration) Profile { return family(KindCloud, "cloud/f3", deadline) }
 
 // New returns the profile of the given family with the given deadline.
 func New(kind Kind, deadline time.Duration) (Profile, error) {
@@ -154,5 +148,5 @@ func KindOf(p Profile) (Kind, bool) {
 // delay x = d/deadline. The function must be non-negative and non-decreasing
 // for the scheduler's analysis to hold; this is the caller's responsibility.
 func Custom(name string, deadline time.Duration, cost func(dNorm float64) float64) Profile {
-	return &funcProfile{name: name, deadline: deadline, cost: cost}
+	return &funcProfile{name: name, deadline: deadline, deadlineS: deadline.Seconds(), cost: cost}
 }

@@ -169,3 +169,68 @@ func TestZeroDeadlineIsSafe(t *testing.T) {
 		t.Fatalf("cost with zero deadline = %v, want 0 (no division by zero)", got)
 	}
 }
+
+// paperFormulas are the f1–f3 cost functions of normalized delay x, as
+// the paper states them; a Custom profile built from one evaluates it
+// through the generic closure path.
+var paperFormulas = []struct {
+	build func(time.Duration) Profile
+	f     func(x float64) float64
+}{
+	{Mail, func(x float64) float64 {
+		if x <= 1 {
+			return 0
+		}
+		return x - 1
+	}},
+	{Weibo, func(x float64) float64 {
+		if x <= 1 {
+			return x
+		}
+		return 2
+	}},
+	{Cloud, func(x float64) float64 {
+		if x <= 1 {
+			return x
+		}
+		return 3*x - 2
+	}},
+}
+
+// The family profiles evaluate their formula inline; every cost must be
+// bit-identical to the formula applied to d.Seconds()/deadline.Seconds(),
+// and to a Custom profile carrying the same formula as a closure.
+func TestFamilyCostBitIdentical(t *testing.T) {
+	deadlines := []time.Duration{time.Millisecond, 7 * time.Second, dl, 90 * time.Second, 7*time.Minute + 3*time.Nanosecond, time.Hour}
+	check := func(d time.Duration) bool {
+		for _, pf := range paperFormulas {
+			for _, deadline := range deadlines {
+				p := pf.build(deadline)
+				want := 0.0
+				if d > 0 {
+					want = pf.f(d.Seconds() / deadline.Seconds())
+				}
+				got := p.Cost(d)
+				custom := Custom("ref", deadline, pf.f).Cost(d)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(custom) != math.Float64bits(want) {
+					t.Errorf("%s(deadline %v).Cost(%v) = %v (custom %v), want %v", p.Name(), deadline, d, got, custom, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	edges := []time.Duration{0, -1, -time.Hour, math.MinInt64, math.MaxInt64, 1, 15 * time.Second, dl, dl + 1, dl - 1, 2 * dl, 7 * 24 * time.Hour}
+	for _, deadline := range deadlines {
+		edges = append(edges, deadline, deadline-1, deadline+1, 3*deadline)
+	}
+	for _, d := range edges {
+		check(d)
+	}
+	if err := quick.Check(func(raw int64) bool { return check(time.Duration(raw)) }, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(func(ms uint32) bool { return check(time.Duration(ms) * time.Millisecond) }, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

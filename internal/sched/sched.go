@@ -12,16 +12,32 @@ import (
 	"etrain/internal/workload"
 )
 
-// Queues is the set of per-cargo-app waiting queues Q_i. Iteration order is
-// the registration order of apps, keeping every run deterministic.
+// Queues is the set of per-cargo-app waiting queues Q_i. Apps are kept in
+// a slice in registration order, so iteration is deterministic and per-slot
+// loops address an app by its position instead of hashing its name. A
+// device carries a handful of apps, so name lookups are linear scans.
 type Queues struct {
-	order []string
-	byApp map[string][]workload.Packet
+	apps []appQueue
+	n    int // total queued packets, kept current by every mutation
+}
+
+// appQueue is one app's queue, packets in arrival order.
+type appQueue struct {
+	name string
+	pkts []workload.Packet
 }
 
 // NewQueues returns an empty queue set.
-func NewQueues() *Queues {
-	return &Queues{byApp: make(map[string][]workload.Packet)}
+func NewQueues() *Queues { return &Queues{} }
+
+// index returns app's position in registration order, or -1.
+func (q *Queues) index(app string) int {
+	for i := range q.apps {
+		if q.apps[i].name == app {
+			return i
+		}
+	}
+	return -1
 }
 
 // Add enqueues a packet into its app's queue, registering the app on first
@@ -29,39 +45,46 @@ func NewQueues() *Queues {
 //
 //etrain:hotpath
 func (q *Queues) Add(p workload.Packet) {
-	if _, ok := q.byApp[p.App]; !ok {
-		q.order = append(q.order, p.App)
+	i := q.index(p.App)
+	if i < 0 {
+		i = len(q.apps)
+		q.apps = append(q.apps, appQueue{name: p.App})
 	}
-	q.byApp[p.App] = append(q.byApp[p.App], p)
+	q.apps[i].pkts = append(q.apps[i].pkts, p)
+	q.n++
 }
 
 // Apps returns the registered app names in registration order.
 func (q *Queues) Apps() []string {
-	out := make([]string, len(q.order))
-	copy(out, q.order)
+	out := make([]string, len(q.apps))
+	for i := range q.apps {
+		out[i] = q.apps[i].name
+	}
 	return out
 }
 
-// AppsView returns the registered app names in registration order without
-// copying. Read-only, valid until the next Add that registers a new app —
-// the allocation-free variant of Apps for per-slot scheduling loops.
-func (q *Queues) AppsView() []string { return q.order }
-
 // Len returns the total number of queued packets.
-func (q *Queues) Len() int {
-	n := 0
-	for _, pkts := range q.byApp {
-		n += len(pkts)
-	}
-	return n
-}
+func (q *Queues) Len() int { return q.n }
+
+// NumApps returns the number of registered apps. Positions 0..NumApps()-1
+// address them in registration order; a position stays valid for the
+// queue set's lifetime, because apps are never unregistered.
+func (q *Queues) NumApps() int { return len(q.apps) }
+
+// AppName returns the name of the app at position i.
+func (q *Queues) AppName(i int) string { return q.apps[i].name }
+
+// AppView returns the queue of the app at position i in arrival order
+// without copying. Like View, it is read-only and valid only until the
+// next mutation of the queue set.
+func (q *Queues) AppView(i int) []workload.Packet { return q.apps[i].pkts }
 
 // AppLen returns the number of packets queued for app.
-func (q *Queues) AppLen(app string) int { return len(q.byApp[app]) }
+func (q *Queues) AppLen(app string) int { return len(q.View(app)) }
 
 // Packets returns a copy of app's queue in arrival order.
 func (q *Queues) Packets(app string) []workload.Packet {
-	src := q.byApp[app]
+	src := q.View(app)
 	out := make([]workload.Packet, len(src))
 	copy(out, src)
 	return out
@@ -69,94 +92,114 @@ func (q *Queues) Packets(app string) []workload.Packet {
 
 // View returns app's queue in arrival order without copying. The returned
 // slice is read-only and valid only until the next mutation of the queue
-// set — it is the allocation-free variant of Packets for per-slot
-// scheduling loops.
-func (q *Queues) View(app string) []workload.Packet { return q.byApp[app] }
+// set — it is the allocation-free variant of Packets.
+func (q *Queues) View(app string) []workload.Packet {
+	if i := q.index(app); i >= 0 {
+		return q.apps[i].pkts
+	}
+	return nil
+}
 
 // Each calls fn for every queued packet in deterministic order (apps in
 // registration order, packets in arrival order).
 func (q *Queues) Each(fn func(p workload.Packet)) {
-	for _, app := range q.order {
-		for _, p := range q.byApp[app] {
+	for i := range q.apps {
+		for _, p := range q.apps[i].pkts {
 			fn(p)
 		}
 	}
 }
 
+// RemoveAt removes and returns packet j of the app at position i.
+// Removal compacts the queue in place, reusing its backing array —
+// Packets hands out copies, so no caller observes the shift.
+//
+//etrain:hotpath
+func (q *Queues) RemoveAt(i, j int) workload.Packet {
+	pkts := q.apps[i].pkts
+	p := pkts[j]
+	copy(pkts[j:], pkts[j+1:])
+	pkts[len(pkts)-1] = workload.Packet{}
+	q.apps[i].pkts = pkts[:len(pkts)-1]
+	q.n--
+	return p
+}
+
 // PopByID removes and returns the packet with the given ID from app's
-// queue. ok is false if no such packet is queued. Removal compacts the
-// queue in place, reusing its backing array — Packets hands out copies,
-// so no caller observes the shift.
+// queue. ok is false if no such packet is queued.
 //
 //etrain:hotpath
 func (q *Queues) PopByID(app string, id int) (workload.Packet, bool) {
-	pkts := q.byApp[app]
-	for i, p := range pkts {
+	i := q.index(app)
+	if i < 0 {
+		return workload.Packet{}, false
+	}
+	for j, p := range q.apps[i].pkts {
 		if p.ID == id {
-			copy(pkts[i:], pkts[i+1:])
-			pkts[len(pkts)-1] = workload.Packet{}
-			q.byApp[app] = pkts[:len(pkts)-1]
-			return p, true
+			return q.RemoveAt(i, j), true
 		}
 	}
 	return workload.Packet{}, false
 }
 
-// PopHead removes and returns the head-of-line packet of app, compacting
-// in place like PopByID so the queue's capacity is reused.
+// PopHead removes and returns the head-of-line packet of app.
 //
 //etrain:hotpath
 func (q *Queues) PopHead(app string) (workload.Packet, bool) {
-	pkts := q.byApp[app]
-	if len(pkts) == 0 {
+	i := q.index(app)
+	if i < 0 || len(q.apps[i].pkts) == 0 {
 		return workload.Packet{}, false
 	}
-	head := pkts[0]
-	copy(pkts, pkts[1:])
-	pkts[len(pkts)-1] = workload.Packet{}
-	q.byApp[app] = pkts[:len(pkts)-1]
-	return head, true
+	return q.RemoveAt(i, 0), true
 }
 
 // CostAt returns P(t): the summed delay cost of every queued packet at
 // instant now (paper Eq. 6).
 func (q *Queues) CostAt(now time.Duration) float64 {
 	total := 0.0
-	q.Each(func(p workload.Packet) { total += p.Cost(now) })
+	for i := range q.apps {
+		for _, p := range q.apps[i].pkts {
+			total += p.Cost(now)
+		}
+	}
 	return total
 }
 
-// AppCostAt returns P_i(t) for one app.
+// AppCostAt returns P_i(t) for one app. Evaluated at the next slot's start
+// it is P̄_i(t), the speculative cost of the paper's drift objective.
 func (q *Queues) AppCostAt(app string, now time.Duration) float64 {
 	total := 0.0
-	for _, p := range q.byApp[app] {
+	for _, p := range q.View(app) {
 		total += p.Cost(now)
 	}
 	return total
 }
 
-// SpeculativeAppCostAt returns P̄_i(t): the cost app's queue would carry at
-// the start of the next slot if nothing were transmitted — the speculative
-// cost Σ φ_u(t) of the paper's drift objective.
-func (q *Queues) SpeculativeAppCostAt(app string, nextSlot time.Duration) float64 {
-	total := 0.0
-	for _, p := range q.byApp[app] {
-		total += p.Cost(nextSlot)
+// OldestAt returns the position (app i, packet j) of the earliest-arrived
+// packet across all queues; ties go to the first in iteration order.
+func (q *Queues) OldestAt() (i, j int, ok bool) {
+	var oldest time.Duration
+	for a := range q.apps {
+		for b, p := range q.apps[a].pkts {
+			if !ok || p.ArrivedAt < oldest {
+				i, j, ok = a, b, true
+				oldest = p.ArrivedAt
+			}
+		}
 	}
-	return total
+	return i, j, ok
 }
 
-// Oldest returns the earliest-arrived packet across all queues.
-func (q *Queues) Oldest() (workload.Packet, bool) {
-	var oldest workload.Packet
-	found := false
-	q.Each(func(p workload.Packet) {
-		if !found || p.ArrivedAt < oldest.ArrivedAt {
-			oldest = p
-			found = true
-		}
-	})
-	return oldest, found
+// PopOldest removes and returns the earliest-arrived packet across all
+// queues.
+//
+//etrain:hotpath
+func (q *Queues) PopOldest() (workload.Packet, bool) {
+	i, j, ok := q.OldestAt()
+	if !ok {
+		return workload.Packet{}, false
+	}
+	return q.RemoveAt(i, j), true
 }
 
 // SlotContext is everything a strategy may observe when deciding slot t.

@@ -124,7 +124,7 @@ func TestCostAt(t *testing.T) {
 func TestSpeculativeCost(t *testing.T) {
 	q := NewQueues()
 	q.Add(pkt(1, "a", 0))
-	spec := q.SpeculativeAppCostAt("a", 16*time.Second)
+	spec := q.AppCostAt("a", 16*time.Second)
 	now := q.AppCostAt("a", 15*time.Second)
 	if spec <= now {
 		t.Fatalf("speculative cost %v should exceed current %v", spec, now)
@@ -133,15 +133,48 @@ func TestSpeculativeCost(t *testing.T) {
 
 func TestOldest(t *testing.T) {
 	q := NewQueues()
-	if _, ok := q.Oldest(); ok {
-		t.Fatal("Oldest on empty queues")
+	if _, _, ok := q.OldestAt(); ok {
+		t.Fatal("OldestAt on empty queues")
 	}
 	q.Add(pkt(1, "a", 5*time.Second))
 	q.Add(pkt(2, "b", 2*time.Second))
 	q.Add(pkt(3, "a", 9*time.Second))
-	p, ok := q.Oldest()
-	if !ok || p.ID != 2 {
-		t.Fatalf("Oldest = %+v", p)
+	i, j, ok := q.OldestAt()
+	if !ok || q.AppView(i)[j].ID != 2 {
+		t.Fatalf("OldestAt = (%d, %d, %v)", i, j, ok)
+	}
+}
+
+// The index API addresses apps in registration order; PopOldest takes the
+// first strict minimum of ArrivedAt in iteration order.
+func TestIndexAPIAndPopOldest(t *testing.T) {
+	q := NewQueues()
+	q.Add(pkt(1, "b", 3*time.Second))
+	q.Add(pkt(2, "a", 1*time.Second))
+	q.Add(pkt(3, "b", 1*time.Second))
+	q.Add(pkt(4, "a", 2*time.Second))
+	if q.NumApps() != 2 || q.AppName(0) != "b" || q.AppName(1) != "a" {
+		t.Fatalf("apps = %d %v, want [b a]", q.NumApps(), q.Apps())
+	}
+	if i, j, ok := q.OldestAt(); !ok || i != 0 || j != 1 {
+		t.Fatalf("OldestAt = (%d, %d, %v), want (0, 1, true): ties go to the first app", i, j, ok)
+	}
+	if p := q.RemoveAt(1, 1); p.ID != 4 || q.Len() != 3 {
+		t.Fatalf("RemoveAt(1, 1) = %d, Len %d", p.ID, q.Len())
+	}
+	var order []int
+	for {
+		p, ok := q.PopOldest()
+		if !ok {
+			break
+		}
+		order = append(order, p.ID)
+	}
+	if len(order) != 3 || order[0] != 3 || order[1] != 2 || order[2] != 1 {
+		t.Fatalf("PopOldest order = %v, want [3 2 1]", order)
+	}
+	if q.Len() != 0 || q.NumApps() != 2 {
+		t.Fatalf("drained: Len %d, apps %d", q.Len(), q.NumApps())
 	}
 }
 
@@ -156,7 +189,10 @@ func TestValidateSelection(t *testing.T) {
 	}
 }
 
-// Property: packets added then popped one by one conserve the population.
+// Property: packets added then popped one by one conserve the population,
+// and under any interleaving of Add, PopByID, PopHead, RemoveAt and
+// PopOldest over several apps the stored Len stays equal to the sum of
+// the per-app queue lengths.
 func TestConservationProperty(t *testing.T) {
 	prop := func(ids []uint8) bool {
 		q := NewQueues()
@@ -181,6 +217,50 @@ func TestConservationProperty(t *testing.T) {
 		return popped == added && q.Len() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+
+	apps := []string{"a", "b", "c"}
+	countMatches := func(q *Queues) bool {
+		sum := 0
+		for i := 0; i < q.NumApps(); i++ {
+			sum += len(q.AppView(i))
+		}
+		return q.Len() == sum
+	}
+	mixed := func(ops []uint16) bool {
+		q := NewQueues()
+		nextID, live := 0, 0
+		for _, op := range ops {
+			app := apps[int(op>>3)%len(apps)]
+			switch op % 5 {
+			case 0, 1:
+				q.Add(pkt(nextID, app, time.Duration(nextID)*time.Second))
+				nextID++
+				live++
+			case 2:
+				if _, ok := q.PopByID(app, int(op>>5)%(nextID+1)); ok {
+					live--
+				}
+			case 3:
+				if _, ok := q.PopHead(app); ok {
+					live--
+				}
+			case 4:
+				if i := int(op>>3) % (q.NumApps() + 1); i < q.NumApps() && len(q.AppView(i)) > 0 {
+					q.RemoveAt(i, int(op>>5)%len(q.AppView(i)))
+					live--
+				} else if _, ok := q.PopOldest(); ok {
+					live--
+				}
+			}
+			if !countMatches(q) || q.Len() != live {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(mixed, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

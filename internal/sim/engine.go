@@ -414,11 +414,7 @@ func (e *Engine) Finish() (*Result, error) {
 	}
 	flushFrom := len(e.res.Packets)
 	for {
-		oldest, ok := e.queues.Oldest()
-		if !ok {
-			break
-		}
-		p, ok := e.queues.PopByID(oldest.App, oldest.ID)
+		p, ok := e.queues.PopOldest()
 		if !ok {
 			break
 		}
@@ -556,7 +552,9 @@ func (e *Engine) step() error {
 		}
 		e.events = append(e.events, txEvent{at: injectedAt, size: p.Size, kind: radio.TxData, app: p.App, pkt: p})
 	}
-	slices.SortStableFunc(e.events, cmpTxEvent)
+	if len(e.events) > 1 {
+		slices.SortStableFunc(e.events, cmpTxEvent)
+	}
 	dataFrom := len(e.res.Packets)
 	for _, ev := range e.events {
 		start, err := e.transmit(ev.at, ev.size, ev.kind, ev.app)

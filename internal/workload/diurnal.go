@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"etrain/internal/diurnal"
@@ -38,7 +39,7 @@ func SynthesizeSessionDiurnal(src *randx.Source, userID string, class Activeness
 			Size:     int64(src.TruncatedNormal(8*1024, 4*1024, 500)),
 		})
 	}
-	sort.SliceStable(records, func(i, j int) bool { return records[i].At < records[j].At })
+	slices.SortStableFunc(records, func(a, b BehaviorRecord) int { return cmp.Compare(a.At, b.At) })
 	return records
 }
 
@@ -82,7 +83,7 @@ func GenerateDiurnal(src *randx.Source, specs []CargoSpec, horizon time.Duration
 		}
 		appSrc.Release()
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].ArrivedAt < all[j].ArrivedAt })
+	slices.SortStableFunc(all, func(a, b Packet) int { return cmp.Compare(a.ArrivedAt, b.ArrivedAt) })
 	for i := range all {
 		all[i].ID = i
 	}

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -133,7 +135,7 @@ func SynthesizeSession(src *randx.Source, userID string, class ActivenessClass, 
 			Size:     int64(src.TruncatedNormal(8*1024, 4*1024, 500)),
 		})
 	}
-	sort.SliceStable(records, func(i, j int) bool { return records[i].At < records[j].At })
+	slices.SortStableFunc(records, func(a, b BehaviorRecord) int { return cmp.Compare(a.At, b.At) })
 	return records
 }
 

@@ -178,6 +178,45 @@ func TestWithDeadline(t *testing.T) {
 	}
 }
 
+// WithDeadline rebuilds the paper families at the new deadline, and wraps
+// any other profile in a Custom one that keeps its cost as a function of
+// absolute delay. Both must agree bit for bit with their definitions.
+func TestWithDeadlineCostBits(t *testing.T) {
+	const deadline = 77 * time.Second
+	delays := []time.Duration{-time.Second, 0, 1, time.Second, 38500 * time.Millisecond, deadline, deadline + 1, 5 * deadline, 48 * time.Hour}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	families := map[string]func(time.Duration) profile.Profile{
+		"mail": profile.Mail, "weibo": profile.Weibo, "cloud": profile.Cloud,
+	}
+	for _, base := range DefaultSpecs() {
+		mod := base.WithDeadline(deadline)
+		want := families[base.Name](deadline)
+		for _, d := range delays {
+			if got, w := mod.Profile.Cost(d), want.Cost(d); !same(got, w) {
+				t.Fatalf("%s WithDeadline Cost(%v) = %v, want %v", base.Name, d, got, w)
+			}
+		}
+	}
+
+	ramp := func(x float64) float64 { return x * x }
+	orig := profile.Custom("ramp", 20*time.Second, ramp)
+	mod := CargoSpec{Name: "ramp", Profile: orig}.WithDeadline(deadline)
+	if mod.Profile.Name() != "ramp" || mod.Profile.Deadline() != deadline {
+		t.Fatalf("custom WithDeadline = %s/%v, want ramp/%v", mod.Profile.Name(), mod.Profile.Deadline(), deadline)
+	}
+	for _, d := range delays {
+		want := 0.0
+		if d > 0 {
+			x := d.Seconds() / deadline.Seconds()
+			want = orig.Cost(time.Duration(x * float64(deadline)))
+		}
+		if got := mod.Profile.Cost(d); !same(got, want) {
+			t.Fatalf("custom WithDeadline Cost(%v) = %v, want %v", d, got, want)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := []CargoSpec{
 		{},

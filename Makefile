@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz lint vet determinism bench-json bench-server bench-cluster gate fleet-smoke serve load chaos scenario diurnal cluster overload clean
+.PHONY: all build test race fuzz lint vet determinism bench-check bench-json bench-server bench-cluster gate fleet-smoke serve load chaos scenario diurnal cluster overload clean
 
 all: build test lint
 
@@ -21,6 +21,7 @@ fuzz:
 	$(GO) test ./internal/tracefile -run Fuzz
 	$(GO) test ./internal/wire -run Fuzz
 	$(GO) test ./internal/scenario -run Fuzz
+	$(GO) test ./internal/randx -run Fuzz
 
 vet:
 	$(GO) vet ./...
@@ -43,6 +44,11 @@ lint: vet
 	else \
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
+
+# The benchmark's own tests. perfbench is a module of its own, so the
+# root `go test ./...` does not reach it.
+bench-check:
+	cd perfbench && $(GO) test ./...
 
 # Machine-readable benchmark snapshot: every benchmark (including
 # BenchmarkFleet10k) once through cmd/etrain-benchjson into

@@ -12,15 +12,21 @@ import (
 	"sync"
 )
 
-// Source is a deterministic random stream. It wraps math/rand with the
-// distributions the workload and bandwidth models need.
+// Source is a deterministic random stream: math/rand's Rand (and so its
+// distributions) over lazySource, a register-compatible copy of
+// math/rand's seeded generator that seeds in O(1). New(seed) yields the
+// stream rand.New(rand.NewSource(seed)) would, bit for bit.
 type Source struct {
 	rng *rand.Rand
+	src lazySource
 }
 
 // New returns a Source seeded with seed. Equal seeds yield equal streams.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	s := &Source{}
+	s.src.Seed(seed)
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // Split derives an independent child stream from this source. The child is a
@@ -30,14 +36,15 @@ func (s *Source) Split() *Source {
 	return New(s.rng.Int63())
 }
 
-// sourcePool recycles Sources: math/rand's generator carries a ~5 KB state
-// table whose allocation dominates fleet-scale synthesis (every device draws
-// a handful of short-lived streams). Reseeding fully resets the generator,
-// so a pooled Source's stream is bit-identical to a freshly built one.
+// sourcePool recycles Sources. Seeding is O(1) (lazySource fills the
+// register on first read), so the pool saves no seeding work: it only
+// spares fleet-scale synthesis, where every device draws a handful of
+// short-lived streams, the allocation of each Source's 4.9 KB register.
 var sourcePool = sync.Pool{New: func() any { return New(0) }}
 
 // Acquire returns a pooled Source reset to the exact stream New(seed)
-// produces. Release it when the stream is fully consumed.
+// produces; the reset is O(1) and no word of the register's previous
+// stream is ever read. Release it when the stream is fully consumed.
 func Acquire(seed int64) *Source {
 	s := sourcePool.Get().(*Source)
 	s.rng.Seed(seed)
